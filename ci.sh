@@ -63,6 +63,11 @@ go vet -copylocks ./...
 echo "== go build ./... =="
 go build ./...
 
+echo "== storage-path benchmarks, one iteration each =="
+# The disk write path, external sort and S³J scan benchmarks report
+# allocations; running each once keeps them compiling and working.
+go test -run '^$' -bench . -benchtime 1x ./internal/diskio ./internal/extsort ./internal/s3j
+
 if [ "$short" = "-short" ]; then
     echo "== go test -short ./... =="
     go test -short -timeout 10m ./...

@@ -89,10 +89,11 @@ type Config struct {
 	// processes under the coordinator of package shard: each shard is
 	// its own fault domain with a private disk, temp-file registry and
 	// governor memory slice, supervised with heartbeats and restarted
-	// (or absorbed) on failure. Requires Method PBSM with DupRPM — the
-	// Reference Point Method's globally duplicate-free per-partition
-	// output is what makes multi-process merge correct — and the shard
-	// package linked in (importing it registers the executor). The
+	// (or absorbed) on failure. Requires Method PBSM with a
+	// duplicate-free-by-construction method, DupRPM or DupTLSP — globally
+	// duplicate-free per-partition output is what makes multi-process
+	// merge correct, so DupSort is rejected — and the shard package
+	// linked in (importing it registers the executor). The
 	// result set AND its emission order are identical at every shard
 	// count. Fields Disk and Trace's I/O attribution do not apply to
 	// the worker processes' private disks; I/O is aggregated in

@@ -9,7 +9,8 @@
 // Files are held in memory; the simulation is about *accounting*, not
 // persistence. Every read and write request is charged to the Disk's
 // counters, and the accumulated cost converts to simulated seconds via
-// the configured page-transfer time.
+// the configured page-transfer time. File contents live in fixed-size
+// extents, so appending to a file never re-copies what it already holds.
 //
 // Cost accounting and the file directory are guarded by a mutex, so
 // multiple goroutines may read distinct files concurrently (the parallel
@@ -384,13 +385,21 @@ func (d *Disk) chargeLatencySpike(file string) {
 	d.emitEvent("latency-fault", file)
 }
 
+// extentSize is the allocation unit of file contents. A file is a list
+// of extents, each extentSize bytes except possibly the last, so an
+// append never moves bytes already written and byte offset off lives at
+// extent off/extentSize. Extents are a host-memory layout only: the
+// cost model charges requests by pages, whatever the extents look like.
+const extentSize = 64 << 10
+
 // File is a simulated on-disk file: a byte sequence plus cost accounting.
 // Use NewWriter and NewReader for buffered sequential access, or ReadAt
 // for positioned reads (each ReadAt is one positioned request).
 type File struct {
 	d    *Disk
 	name string
-	data []byte
+	ext  [][]byte // contents; every extent but the last is full
+	size int
 }
 
 // Name returns the file's name on its Disk.
@@ -400,10 +409,50 @@ func (f *File) Name() string { return f.name }
 func (f *File) Disk() *Disk { return f.d }
 
 // Len returns the file length in bytes.
-func (f *File) Len() int { return len(f.data) }
+func (f *File) Len() int { return f.size }
 
 // Pages returns the file length in pages (rounded up).
-func (f *File) Pages() int64 { return f.d.pages(len(f.data)) }
+func (f *File) Pages() int64 { return f.d.pages(f.size) }
+
+// appendBytes stores p at the end of the file. The first extent grows by
+// doubling up to extentSize, so small files stay small; later extents
+// are allocated whole.
+func (f *File) appendBytes(p []byte) {
+	for len(p) > 0 {
+		k := len(f.ext)
+		if k == 0 || len(f.ext[k-1]) == extentSize {
+			c := extentSize
+			if k == 0 && len(p) < c {
+				c = len(p)
+			}
+			f.ext = append(f.ext, make([]byte, 0, c))
+			k++
+		}
+		e := f.ext[k-1]
+		n := min(extentSize-len(e), len(p))
+		if len(e)+n > cap(e) {
+			g := make([]byte, len(e), min(extentSize, max(2*cap(e), len(e)+n)))
+			copy(g, e)
+			e = g
+		}
+		f.ext[k-1] = append(e, p[:n]...)
+		f.size += n
+		p = p[n:]
+	}
+}
+
+// copyAt copies file bytes starting at off into p, crossing extent
+// boundaries as needed, and returns the count copied. It charges nothing.
+func (f *File) copyAt(p []byte, off int64) int {
+	n := 0
+	for n < len(p) && off < int64(f.size) {
+		e := f.ext[off/extentSize]
+		c := copy(p[n:], e[off%extentSize:])
+		n += c
+		off += int64(c)
+	}
+	return n
+}
 
 // ErrNegativeOffset is returned by ReadAt for offsets below zero, which
 // indicate a caller bug rather than an end-of-file condition.
@@ -418,10 +467,10 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, ErrNegativeOffset
 	}
-	if off >= int64(len(f.data)) {
+	if off >= int64(f.size) {
 		return 0, io.EOF
 	}
-	n := copy(p, f.data[off:])
+	n := f.copyAt(p, off)
 	f.d.chargeRead(n)
 	if n < len(p) {
 		return n, io.EOF
@@ -429,8 +478,13 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-// Bytes exposes the raw contents for zero-cost inspection in tests.
-func (f *File) Bytes() []byte { return f.data }
+// Bytes returns a copy of the raw contents, for inspection in tests. It
+// charges no I/O, and modifying the copy does not change the file.
+func (f *File) Bytes() []byte {
+	b := make([]byte, f.size)
+	f.copyAt(b, 0)
+	return b
+}
 
 // Writer buffers sequential appends to a File, flushing whole buffers as
 // single positioned write requests of contiguous pages. The buffer size
@@ -488,15 +542,16 @@ func (w *Writer) flush() error {
 		case writeTorn:
 			// Persist a prefix and report success — the silent partial
 			// write the checksummed frame format exists to catch.
-			w.f.data = append(w.f.data, w.buf[:arg]...)
+			w.f.appendBytes(w.buf[:arg])
 			d.chargeWrite(arg)
 			w.n = 0
 			d.emitEvent("torn-write", w.f.name)
 			return nil
 		case writeFlip:
-			start := len(w.f.data)
-			w.f.data = append(w.f.data, w.buf[:w.n]...)
-			w.f.data[start+arg/8] ^= 1 << (arg % 8)
+			// The buffer is consumed by this request either way, so the
+			// bit is flipped in it before the bytes are persisted.
+			w.buf[arg/8] ^= 1 << (arg % 8)
+			w.f.appendBytes(w.buf[:w.n])
 			d.chargeWrite(w.n)
 			w.n = 0
 			d.emitEvent("bit-flip", w.f.name)
@@ -505,7 +560,7 @@ func (w *Writer) flush() error {
 			d.chargeLatencySpike(w.f.name)
 		}
 	}
-	w.f.data = append(w.f.data, w.buf[:w.n]...)
+	w.f.appendBytes(w.buf[:w.n])
 	d.chargeWrite(w.n)
 	w.n = 0
 	return nil
@@ -525,7 +580,7 @@ type Reader struct {
 
 // NewReader returns a sequential Reader over the whole file.
 func (f *File) NewReader(bufPages int) *Reader {
-	return f.NewRangeReader(bufPages, 0, int64(len(f.data)))
+	return f.NewRangeReader(bufPages, 0, int64(f.size))
 }
 
 // NewRangeReader returns a sequential Reader over file bytes [lo, hi).
@@ -533,8 +588,8 @@ func (f *File) NewRangeReader(bufPages int, lo, hi int64) *Reader {
 	if bufPages < 1 {
 		bufPages = 1
 	}
-	if hi > int64(len(f.data)) {
-		hi = int64(len(f.data))
+	if hi > int64(f.size) {
+		hi = int64(f.size)
 	}
 	if lo > hi {
 		lo = hi
@@ -595,7 +650,7 @@ func (r *Reader) fill() (bool, error) {
 	if want > r.hi-r.lo {
 		want = r.hi - r.lo
 	}
-	n := copy(r.buf[:want], r.f.data[r.lo:r.hi])
+	n := r.f.copyAt(r.buf[:want], r.lo)
 	r.f.d.chargeRead(n)
 	r.lo += int64(n)
 	r.pos, r.end = 0, n

@@ -186,6 +186,10 @@ func formRuns(in *diskio.File, cfg Config, reg *diskio.Registry, sp *trace.Span,
 		runs[i] = runRange{f: reg.Create(), recs: hi - lo}
 	}
 	comps := make([]int64, n)
+	// One chunk buffer per worker slot, sized for the largest chunk and
+	// reused for every run the slot forms.
+	chunks := make([][]byte, cfg.workers())
+	chunkBytes := min(maxRecs, total) * int64(rs)
 	err := sched.Run(n, sched.Options{
 		Workers: cfg.workers(),
 		Name:    "sort-chunk",
@@ -194,7 +198,10 @@ func formRuns(in *diskio.File, cfg Config, reg *diskio.Registry, sp *trace.Span,
 		Gov:     cfg.Gov,
 		UnitMem: maxRecs * int64(rs),
 	}, func(w, i int) error {
-		c, uerr := formOneRun(in, runs[i], int64(i)*maxRecs, cfg)
+		if chunks[w] == nil {
+			chunks[w] = make([]byte, 0, chunkBytes)
+		}
+		c, uerr := formOneRun(in, runs[i], int64(i)*maxRecs, cfg, chunks[w])
 		comps[i] = c
 		return uerr
 	})
@@ -204,13 +211,14 @@ func formRuns(in *diskio.File, cfg Config, reg *diskio.Registry, sp *trace.Span,
 	return runs, err
 }
 
-// formOneRun reads the chunk's record range directly into an in-memory
-// buffer (one copy: frame payload to chunk tail), sorts it in place, and
-// writes the run file sequentially from the sorted buffer.
-func formOneRun(in *diskio.File, run runRange, lo int64, cfg Config) (int64, error) {
+// formOneRun reads the chunk's record range directly into the in-memory
+// buffer chunk (one copy: frame payload to chunk tail), sorts it in
+// place, and writes the run file sequentially from the sorted buffer.
+// chunk's capacity must hold the run; its contents are overwritten.
+func formOneRun(in *diskio.File, run runRange, lo int64, cfg Config, chunk []byte) (int64, error) {
 	rs := cfg.RecordSize
 	r := recfile.NewRecRangeReader(in, rs, cfg.bufPages(), lo, lo+run.recs)
-	chunk := make([]byte, 0, run.recs*int64(rs))
+	chunk = chunk[:0]
 	chk := cfg.Cancel.Stride()
 	for int64(len(chunk)/rs) < run.recs {
 		if err := chk.Point(); err != nil {

@@ -22,6 +22,7 @@ func BenchmarkSort(b *testing.B) {
 	}
 	for _, mem := range []int64{16 << 10, 256 << 10, 8 << 20} {
 		b.Run(fmt.Sprintf("mem=%dKiB", mem>>10), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				d := diskio.NewDisk(8192, 20, time.Microsecond)

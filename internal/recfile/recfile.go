@@ -148,6 +148,9 @@ func IsCorrupt(err error) bool {
 
 // RecWriter appends fixed-size records to a disk file in checksummed
 // frames. Flush finalizes the stream; writing after Flush is an error.
+// A writer fails for good on its first error: Grab, Write, Commit and
+// Flush return that error from then on, since the stream's frame state
+// is no longer known to be consistent with what reached the disk.
 type RecWriter struct {
 	f        *diskio.File
 	w        *diskio.Writer
@@ -158,6 +161,7 @@ type RecWriter struct {
 	idx      uint32 // index of the next frame to emit
 	count    int64  // records written in total
 	finished bool
+	err      error // first error; the writer is unusable after it
 }
 
 // NewRecWriter creates a framed writer over f for recSize-byte records
@@ -186,6 +190,9 @@ func (w *RecWriter) Write(rec []byte) error {
 // encode in place instead of through an intermediate buffer. The slot is
 // only valid until Commit; every Grab must be paired with one Commit.
 func (w *RecWriter) Grab() ([]byte, error) {
+	if w.err != nil {
+		return nil, w.err
+	}
 	if w.finished {
 		return nil, fmt.Errorf("recfile: write to finalized stream %s", w.f.Name())
 	}
@@ -195,12 +202,23 @@ func (w *RecWriter) Grab() ([]byte, error) {
 
 // Commit seals the record most recently grabbed with Grab.
 func (w *RecWriter) Commit() error {
+	if w.err != nil {
+		return w.err
+	}
 	w.n++
 	w.count++
 	if w.n == w.perFrame {
-		return w.emit(false)
+		return w.fail(w.emit(false))
 	}
 	return nil
+}
+
+// fail records err, if non-nil, as the writer's permanent error.
+func (w *RecWriter) fail(err error) error {
+	if err != nil && w.err == nil {
+		w.err = err
+	}
+	return err
 }
 
 // Count returns the number of records written so far.
@@ -252,15 +270,25 @@ func (w *RecWriter) emit(last bool) error {
 
 // Flush finalizes the stream — emits the final frame with the
 // end-of-stream bit (possibly empty) — and forces all buffered bytes to
-// disk. It is idempotent.
+// disk. It is idempotent, including in failure: once it (or any earlier
+// call) has failed, it returns that error again.
 func (w *RecWriter) Flush() error {
+	if w.err != nil {
+		return w.err
+	}
 	if w.finished {
 		return nil
 	}
 	if err := w.emit(true); err != nil {
-		return err
+		return w.fail(err)
 	}
 	w.finished = true
+	return w.fail(w.flushRetry())
+}
+
+// flushRetry forces the buffered bytes to disk with bounded retry on
+// transient faults.
+func (w *RecWriter) flushRetry() error {
 	for retries := 0; ; {
 		err := w.w.Flush()
 		if err == nil {

@@ -1,6 +1,7 @@
 package recfile
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -144,5 +145,63 @@ func TestWritesAreCharged(t *testing.T) {
 	}
 	if st.PagesWritten < 15 {
 		t.Fatalf("PagesWritten = %d", st.PagesWritten)
+	}
+}
+
+// TestWriterStaysFailedAfterError: once a frame emit fails, the writer
+// keeps returning that error from Grab, Write, Commit and Flush. It used
+// to keep its full frame and panic on the next Write with "slice bounds
+// out of range" in Grab.
+func TestWriterStaysFailedAfterError(t *testing.T) {
+	d := diskio.NewDisk(8192, 5, time.Millisecond)
+	errStop := errors.New("stop")
+	d.SetCancel(func() error { return errStop })
+	f := d.Create("k")
+	w := NewKPEWriter(f, 1)
+	var first error
+	for i := 0; i < 3*recsPerFrame(geom.KPESize); i++ {
+		err := w.Write(geom.KPE{ID: uint64(i)})
+		if first == nil {
+			first = err
+		} else if err != first {
+			t.Fatalf("write %d after the first failure returned %v, want %v", i, err, first)
+		}
+	}
+	if !errors.Is(first, errStop) {
+		t.Fatalf("first failure = %v, want the cancel hook's error", first)
+	}
+	if _, err := w.w.Grab(); err != first {
+		t.Fatalf("Grab after failure = %v", err)
+	}
+	if err := w.w.Commit(); err != first {
+		t.Fatalf("Commit after failure = %v", err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := w.Flush(); err != first {
+			t.Fatalf("Flush %d after failure = %v", i, err)
+		}
+	}
+	if f.Len() != 0 {
+		t.Fatalf("failed writer persisted %d bytes", f.Len())
+	}
+}
+
+// TestFlushFailureIsSticky: a Flush that fails after sealing the final
+// frame must not report success when called again.
+func TestFlushFailureIsSticky(t *testing.T) {
+	d := newDisk()
+	f := d.Create("k")
+	w := NewKPEWriter(f, 2)
+	if err := w.Write(geom.KPE{ID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	errStop := errors.New("stop")
+	d.SetCancel(func() error { return errStop })
+	if err := w.Flush(); !errors.Is(err, errStop) {
+		t.Fatalf("Flush = %v, want the cancel hook's error", err)
+	}
+	d.SetCancel(nil)
+	if err := w.Flush(); !errors.Is(err, errStop) {
+		t.Fatalf("second Flush = %v, want the first failure again", err)
 	}
 }

@@ -246,7 +246,7 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 	if cfg.Memory <= 0 {
 		return Stats{}, joinerr.Wrap("s3j", "config", fmt.Errorf("Config.Memory must be positive, got %d", cfg.Memory))
 	}
-	j := &joiner{cfg: cfg, alg: cfg.algorithm(), reg: cfg.Disk.NewRegistry()}
+	j := newJoiner(cfg)
 	// One sweep covers every exit path, so no level or sort file outlives
 	// the join — success, failure or cancellation alike.
 	defer j.reg.Sweep()
@@ -287,6 +287,18 @@ type joiner struct {
 	start      time.Time
 	startUnits float64
 	emit       func(geom.Pair)
+
+	// deeper is the arriving cell of the current joinCells call, the one
+	// the duplicate test checks reference points against; onPair is
+	// pairFound bound once, so no closure is allocated per cell pair.
+	deeper stackEntry
+	onPair sweep.Emit
+}
+
+func newJoiner(cfg Config) *joiner {
+	j := &joiner{cfg: cfg, alg: cfg.algorithm(), reg: cfg.Disk.NewRegistry()}
+	j.onPair = j.pairFound
+	return j
 }
 
 func (j *joiner) deliver(p geom.Pair) {
@@ -556,12 +568,20 @@ func (j *joiner) scan(filesR, filesS []*diskio.File) error {
 
 	var stacks [2][]stackEntry
 	var resident int64
+	// Group buffers of retired cells, reused for arriving ones: the
+	// scan holds at most the two root paths, so it needs only as many
+	// buffers as the stacks grow deep.
+	var free [][]geom.KPE
 	for h.Len() > 0 {
 		if err := j.cfg.Cancel.Point(); err != nil {
 			return err
 		}
 		c := h.items[0]
-		code, items, _, err := c.nextGroup(nil)
+		var buf []geom.KPE
+		if n := len(free); n > 0 {
+			buf, free = free[n-1], free[:n-1]
+		}
+		code, items, _, err := c.nextGroup(buf)
 		if err != nil {
 			return err
 		}
@@ -584,7 +604,9 @@ func (j *joiner) scan(filesR, filesS []*diskio.File) error {
 		for s := 0; s < 2; s++ {
 			st := stacks[s]
 			for len(st) > 0 && st[len(st)-1].hi <= lo {
-				resident -= int64(len(st[len(st)-1].items)) * geom.KPESize
+				top := st[len(st)-1].items
+				resident -= int64(len(top)) * geom.KPESize
+				free = append(free, top[:0])
 				st = st[:len(st)-1]
 			}
 			stacks[s] = st
@@ -626,17 +648,22 @@ func (j *joiner) decodeCell(code uint64, level int) (uint32, uint32) {
 // joinCells joins the rectangles of one R-cell and one S-cell. deeper is
 // the arriving (deeper or equal) cell used by the duplicate test.
 func (j *joiner) joinCells(rs, ss []geom.KPE, deeper stackEntry) {
-	j.alg.Join(rs, ss, func(r, s geom.KPE) {
-		j.stats.RawResults++
-		if j.cfg.Mode == ModeReplicate {
-			x := geom.RefPoint(r.Rect, s.Rect)
-			cx, cy := sfc.CellAt(x, deeper.level)
-			if cx != deeper.ix || cy != deeper.iy {
-				return // duplicate: reported by the cell owning x
-			}
+	j.deeper = deeper
+	j.alg.Join(rs, ss, j.onPair)
+}
+
+// pairFound receives each intersecting pair of joinCells and delivers it
+// unless the modified Reference Point Method assigns it to another cell.
+func (j *joiner) pairFound(r, s geom.KPE) {
+	j.stats.RawResults++
+	if j.cfg.Mode == ModeReplicate {
+		x := geom.RefPoint(r.Rect, s.Rect)
+		cx, cy := sfc.CellAt(x, j.deeper.level)
+		if cx != j.deeper.ix || cy != j.deeper.iy {
+			return // duplicate: reported by the cell owning x
 		}
-		j.deliver(geom.Pair{R: r.ID, S: s.ID})
-	})
+	}
+	j.deliver(geom.Pair{R: r.ID, S: s.ID})
 }
 
 // cursorHeap orders group cursors by the start of their next cell's code

@@ -14,13 +14,14 @@ import (
 // same sorted level files. The scan is dominated by the cursor heap, so
 // this benchmark shows the win from caching the code-interval start on
 // the cursor (computed once per record in fillPeek) instead of
-// recomputing the bit-interleaved interval in every heap comparison.
+// recomputing the bit-interleaved interval in every heap comparison, and
+// its allocations show the reuse of group buffers across cells.
 func BenchmarkScanPhase(b *testing.B) {
 	R := datagen.Uniform(21, 20000, 0.004)
 	S := datagen.Uniform(22, 20000, 0.004)
 	d := diskio.NewDisk(1024, 10, time.Millisecond)
 	cfg := Config{Disk: d, Memory: 1 << 20, Mode: ModeReplicate}
-	j := &joiner{cfg: cfg, alg: cfg.algorithm(), reg: d.NewRegistry()}
+	j := newJoiner(cfg)
 	defer j.reg.Sweep()
 	j.start = time.Now()
 	j.emit = func(geom.Pair) {}
@@ -41,6 +42,7 @@ func BenchmarkScanPhase(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j.stats = Stats{}
