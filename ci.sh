@@ -64,9 +64,10 @@ echo "== go build ./... =="
 go build ./...
 
 echo "== storage-path benchmarks, one iteration each =="
-# The disk write path, external sort and S³J scan benchmarks report
-# allocations; running each once keeps them compiling and working.
-go test -run '^$' -bench . -benchtime 1x ./internal/diskio ./internal/extsort ./internal/s3j
+# The disk write path, external sort, S³J scan, slab sweep and collector
+# benchmarks report allocations; running each once keeps them compiling
+# and working.
+go test -run '^$' -bench . -benchtime 1x ./internal/diskio ./internal/extsort ./internal/s3j ./internal/sweep ./internal/sched
 
 if [ "$short" = "-short" ]; then
     echo "== go test -short ./... =="

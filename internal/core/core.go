@@ -62,13 +62,15 @@ type Config struct {
 	// choice per §3.2.2 and §4.4.1.
 	Algorithm sweep.Kind
 	// Parallel is the worker count for the parallel phases of every
-	// method (PBSM's partition pairs, SHJ's bucket joins, S³J's level
-	// sorts and the run formation and merge groups inside each external
-	// sort), all running on the shared scheduler of package sched. Zero
-	// selects GOMAXPROCS; 1 (or negative) forces sequential execution.
-	// The result set AND its emission order are identical at every
-	// worker count — parallelism changes only wall-clock time, never
-	// the simulated I/O accounting.
+	// method (PBSM's partition pairs — or, when everything fits in one
+	// partition, the sort and the slabs of its single in-memory sweep —
+	// SHJ's bucket joins, S³J's level sorts and the run formation and
+	// merge groups inside each external sort), all running on the
+	// shared scheduler of package sched. Zero selects GOMAXPROCS; 1 (or
+	// negative) forces sequential execution. The result set AND its
+	// emission order are identical at every worker count — parallelism
+	// changes only wall-clock time, never the simulated I/O accounting
+	// or the sweep's candidate-test count.
 	Parallel int
 
 	// PBSMDup selects PBSM's duplicate-elimination strategy; default

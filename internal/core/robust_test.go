@@ -1,13 +1,17 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/joinerr"
+	"spatialjoin/internal/sched"
 )
 
 // TestJoinRejectsInvalidGeometry: every method must refuse NaN/Inf
@@ -121,5 +125,23 @@ func TestIteratorPanicWithEarlyClose(t *testing.T) {
 	it.Close()
 	if err := it.Err(); err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("Err = %v, want recovered panic", err)
+	}
+}
+
+// TestJoinWorkerPanicIsJoinError: a panic on a scheduler worker — here
+// the caller's emit, run from PBSM's slab workers and SHJ's bucket
+// workers — fails core.Join with a JoinError instead of killing the
+// process.
+func TestJoinWorkerPanicIsJoinError(t *testing.T) {
+	R := datagen.Uniform(61, 1500, 0.01)
+	for _, method := range []Method{PBSM, SHJ} {
+		_, err := Join(R, R, Config{Method: method, Memory: 8 << 20, Parallel: 2}, func(geom.Pair) {
+			panic("emit exploded")
+		})
+		var je *joinerr.JoinError
+		var pe *sched.PanicError
+		if !errors.As(err, &je) || !errors.As(err, &pe) {
+			t.Fatalf("%s: Join = %v, want a JoinError wrapping a sched.PanicError", method, err)
+		}
 	}
 }

@@ -16,11 +16,11 @@ const (
 	// duplicate-elimination strategy.
 	metDupSuppressed = "pbsm.dup.suppressed"
 	// metRPMTests counts reference-point tests (one per raw result
-	// under DupRPM), bumped live from the join loop.
+	// under DupRPM), bumped live from the join loop in batches.
 	metRPMTests = "pbsm.rpm.tests"
 	// metTLSPSkipped counts candidates rejected by the TLSP class test
 	// alone (no reference point computed), bumped live from the join
-	// loop.
+	// loop in batches.
 	metTLSPSkipped = "pbsm.tlsp.pairs.skipped"
 	// metReplicationCopies counts KPE copies written by partitioning.
 	metReplicationCopies = "pbsm.replication.copies"
@@ -36,7 +36,10 @@ const (
 // loop increments them unconditionally). pbsm.rpm.tests and
 // pbsm.tlsp.pairs.skipped are per-result counters published from the
 // join loop itself, so a mid-flight /metrics scrape sees them advance
-// with the join instead of reading 0 until the end.
+// with the join instead of reading 0 until the end. Each join call
+// counts them locally and adds them in batches of at most liveBatch
+// (and once more when the call ends), so parallel workers do not
+// contend on the counter per result.
 func (j *joiner) resolveCounters() {
 	j.pairsDone = j.cfg.Metrics.Counter(metPairsDone)
 	j.rpmTests = j.cfg.Metrics.Counter(metRPMTests)
@@ -46,7 +49,7 @@ func (j *joiner) resolveCounters() {
 // publishMetrics adds this join's remaining redundancy/duplicate totals
 // to the process-lifetime counters; a no-op without a registry. The
 // per-result counters (RPM tests, TLSP skips) are NOT published here —
-// they were already bumped incrementally from the join loop.
+// they were already added in batches from the join loop.
 func (j *joiner) publishMetrics() {
 	m := j.cfg.Metrics
 	if m == nil {

@@ -149,17 +149,22 @@ type Config struct {
 	// joined in memory even if over budget (counted in MemoryOverflows).
 	// Values < 1 select 8.
 	MaxRecurse int
-	// Parallel joins this many partition pairs concurrently in the join
-	// phase (values < 2 keep the phase sequential) on the shared
-	// scheduler of package sched. Each worker joins its pairs with a
-	// private internal algorithm; result pairs are buffered per pair and
-	// released in partition order, so the emitted sequence is IDENTICAL
-	// to a sequential run's. Parallelism changes only wall-clock time,
-	// never the I/O cost accounting, the result set or its order.
+	// Parallel is the worker count of the join phase (values < 2 keep
+	// it sequential) on the shared scheduler of package sched. With
+	// P > 1 the units are partition pairs; with P = 1 the two inputs
+	// are sorted as two units and the single in-memory sweep runs as
+	// slabs of the serial sweep order (sweep.Cut). Each worker joins
+	// with a private internal algorithm; result pairs are buffered per
+	// unit and released in unit order, so the emitted sequence and
+	// Stats.Tests are IDENTICAL to a sequential run's (Stats.Touches
+	// may differ at P = 1, see sweep.Slab). Parallelism changes only
+	// wall-clock time, never the I/O cost accounting, the result set or
+	// its order.
 	Parallel int
 	// Gov, when non-nil, admission-controls the memory the extra
 	// parallel workers claim beyond the join's own admission (one
-	// partition pair's working set each).
+	// partition pair's working set each; at P = 1, one slab's share of
+	// the input).
 	Gov *govern.Governor
 	// Trace is the parent span phase/pair/heal spans nest under; nil
 	// disables instrumentation.
@@ -371,8 +376,9 @@ type joiner struct {
 	// weights; nil without a Progress), read-only once the join phase
 	// starts. pairsDone, rpmTests and tlspSkipped are live counter
 	// handles resolved once up front (nil-safe, see resolveCounters);
-	// the latter two are bumped from the join loop so mid-flight
-	// /metrics scrapes see them move instead of jumping at join end.
+	// the latter two are bumped from the join loop in batches of at
+	// most liveBatch, so mid-flight /metrics scrapes see them move
+	// instead of jumping at join end.
 	pairCost    []float64
 	pairsDone   *metrics.Counter
 	rpmTests    *metrics.Counter
@@ -484,23 +490,7 @@ func (j *joiner) run(R, S []geom.KPE, emit func(geom.Pair)) error {
 	if p == 1 {
 		// Everything fits: a single in-memory join, no partition files.
 		j.cfg.Progress.SetTotal(1)
-		pt := j.begin(PhaseJoin)
-		pt.sp.AddRecords(int64(len(R) + len(S)))
-		rs := append([]geom.KPE(nil), R...)
-		ss := append([]geom.KPE(nil), S...)
-		var err error
-		if j.cfg.Dup == DupTLSP {
-			// No replication happened, so no copy ever got a class;
-			// whatever the caller left in Class must not veto results.
-			if err = clearClasses(rs, j.cfg.Cancel); err == nil {
-				err = clearClasses(ss, j.cfg.Cancel)
-			}
-		}
-		if err == nil {
-			err = j.joinLoaded(j.alg, j.deliver, rs, ss, wholeSpace{}, wholeSpace{})
-		}
-		pt.end()
-		if err != nil {
+		if err := j.joinInMemory(R, S, j.deliver); err != nil {
 			return joinerr.Wrap("pbsm", PhaseJoin.String(), err)
 		}
 		j.pairsDone.Inc()
@@ -849,13 +839,108 @@ func (j *joiner) processPair(alg sweep.Algorithm, sink func(geom.Pair), fr, fs *
 	return err
 }
 
+// slabsPerWorker is how many slabs of the in-memory sweep each worker
+// gets on average. The cut balances events, not tests, so more than one
+// slab per worker evens out the uneven ones; a few keep the carry-in
+// scans (each slab rescans the events before it) cheap.
+const slabsPerWorker = 3
+
+// joinInMemory is the whole join when formula (1) gives P = 1: no
+// partition files, one pair covering the whole space. R and S are
+// copied (the sweep reorders them) and sorted as two units; the sorted
+// inputs are then cut into slabs of the serial sweep (sweep.Cut), and
+// the slabs run as ordered units on the shared scheduler, each worker
+// with its own algorithm and a collector restoring the serial emission
+// order. Emitted sequence and Tests are those of one serial sweep at
+// every worker count.
+func (j *joiner) joinInMemory(R, S []geom.KPE, sink func(geom.Pair)) error {
+	pt := j.begin(PhaseJoin)
+	defer pt.end()
+	pt.sp.AddRecords(int64(len(R) + len(S)))
+	workers := j.cfg.workers()
+	k := workers * slabsPerWorker
+	opts := sched.Options{
+		Workers: workers,
+		Name:    "sort-worker",
+		Span:    pt.sp,
+		Cancel:  j.cfg.Cancel,
+		Gov:     j.cfg.Gov,
+		// An extra worker adds one slab's status and buffered results.
+		UnitMem: int64(len(R)+len(S)) * geom.KPESize / int64(k),
+		Metrics: j.cfg.Metrics,
+	}
+	in := [2][]geom.KPE{R, S}
+	sorted := [2][]geom.KPE{make([]geom.KPE, len(R)), make([]geom.KPE, len(S))}
+	err := sched.Run(2, opts, func(_, i int) error {
+		copy(sorted[i], in[i])
+		if j.cfg.Dup == DupTLSP {
+			// No replication happened, so no copy ever got a class;
+			// whatever the caller left in Class must not veto results.
+			if err := clearClasses(sorted[i], j.cfg.Cancel); err != nil {
+				return err
+			}
+		}
+		j.alg.Sort(sorted[i])
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	rs, ss := sorted[0], sorted[1]
+	if workers == 1 {
+		k = 1
+	}
+	slabs := j.alg.Cut(rs, ss, k)
+	algs := make([]sweep.Algorithm, workers)
+	algs[0] = j.alg
+	for w := 1; w < workers; w++ {
+		algs[w] = sweep.New(j.cfg.Algorithm)
+	}
+	// One slab streams straight to the sink; several go through a
+	// collector that restores slab order.
+	var col *sched.Collector
+	if len(slabs) > 1 {
+		col = sched.NewCollector(len(slabs), sink)
+		pt.sp.SetAttr("workers", int64(workers))
+	}
+	opts.Name = "slab-worker"
+	j.par = workers > 1
+	err = sched.Run(len(slabs), opts, func(w, i int) error {
+		out := sink
+		if col != nil {
+			defer col.Done(i)
+			out = func(p geom.Pair) { col.Emit(i, p) }
+		}
+		return j.joinSlab(algs[w], out, rs, ss, slabs[i], wholeSpace{}, wholeSpace{})
+	})
+	j.par = false
+	for _, a := range algs[1:] {
+		j.stats.Tests += a.Tests()
+		j.stats.Touches += a.Touches()
+	}
+	return err
+}
+
 // joinLoaded runs the internal algorithm on an in-memory partition pair
-// and routes each produced pair through duplicate handling. In parallel
-// mode the per-result bookkeeping runs under the stats mutex; the sink
-// (a collector emit) then serializes ordered delivery itself.
+// and routes each produced pair through duplicate handling.
 func (j *joiner) joinLoaded(alg sweep.Algorithm, sink func(geom.Pair), rs, ss []geom.KPE, regR, regS region) error {
+	alg.Sort(rs)
+	alg.Sort(ss)
+	return j.joinSlab(alg, sink, rs, ss, sweep.Whole(rs, ss), regR, regS)
+}
+
+// liveBatch bounds how many per-result events one join call counts
+// locally before adding them to the live metrics counter.
+const liveBatch = 1024
+
+// joinSlab joins one slab of a loaded pair and routes each produced pair
+// through duplicate handling. The per-result counts stay in locals and
+// reach Stats once per call (through bump) and the live counters in
+// batches, so parallel calls share no lock per result: the sink (a
+// collector emit in parallel mode) serializes delivery itself, and only
+// the shared DupSort spool write takes the stats mutex.
+func (j *joiner) joinSlab(alg sweep.Algorithm, sink func(geom.Pair), rs, ss []geom.KPE, sl sweep.Slab, regR, regS region) error {
 	var werr error
-	par := j.par
 	// Under TLSP the class test is the whole top-level duplicate story;
 	// a reference-point test is owed only when repartitioning wrapped
 	// inner regions around the pair (the class says nothing about which
@@ -866,31 +951,43 @@ func (j *joiner) joinLoaded(alg sweep.Algorithm, sink func(geom.Pair), rs, ss []
 		_, sWhole := regS.(wholeSpace)
 		needRef = !rWhole || !sWhole
 	}
-	alg.Join(rs, ss, func(r, s geom.KPE) {
-		if par {
-			j.mu.Lock()
+	// live mirrors the method's per-result counter (RPM tests or TLSP
+	// class skips) to metrics; unposted events are added on overflow
+	// and at the end of the call.
+	live := j.rpmTests
+	if j.cfg.Dup == DupTLSP {
+		live = j.tlspSkipped
+	}
+	var raw, skipped, refTests, unposted int64
+	tally := func() {
+		unposted++
+		if unposted == liveBatch {
+			live.Add(unposted)
+			unposted = 0
 		}
-		j.stats.RawResults++
+	}
+	alg.JoinSlab(rs, ss, sl, func(r, s geom.KPE) {
+		raw++
 		switch j.cfg.Dup {
 		case DupRPM:
+			tally()
 			x := geom.RefPoint(r.Rect, s.Rect)
-			j.rpmTests.Inc()
 			if regR.contains(x) && regS.contains(x) {
 				sink(geom.Pair{R: r.ID, S: s.ID})
 			}
 		case DupSort:
 			if werr == nil {
-				werr = j.dupWriter.Write(geom.Pair{R: r.ID, S: s.ID})
+				werr = j.spool(geom.Pair{R: r.ID, S: s.ID})
 			}
 		case DupTLSP:
 			if r.Class&s.Class != 0 {
 				// Another tile holds both corners' max: this copy pair
 				// provably duplicates that tile's result. Rejected by
 				// two bit operations, no reference point computed.
-				j.stats.TLSPSkipped++
-				j.tlspSkipped.Inc()
+				skipped++
+				tally()
 			} else if needRef {
-				j.stats.TLSPRefTests++
+				refTests++
 				x := geom.RefPoint(r.Rect, s.Rect)
 				if regR.contains(x) && regS.contains(x) {
 					sink(geom.Pair{R: r.ID, S: s.ID})
@@ -899,11 +996,25 @@ func (j *joiner) joinLoaded(alg sweep.Algorithm, sink func(geom.Pair), rs, ss []
 				sink(geom.Pair{R: r.ID, S: s.ID})
 			}
 		}
-		if par {
-			j.mu.Unlock()
-		}
+	})
+	live.Add(unposted)
+	j.bump(func() {
+		j.stats.RawResults += raw
+		j.stats.TLSPSkipped += skipped
+		j.stats.TLSPRefTests += refTests
 	})
 	return werr
+}
+
+// spool appends one raw result to the DupSort spool, which every pair
+// and slab shares: under the stats mutex while the join phase runs in
+// parallel.
+func (j *joiner) spool(p geom.Pair) error {
+	if j.par {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+	}
+	return j.dupWriter.Write(p)
 }
 
 // repartitionPair splits the larger side of an oversized pair with a

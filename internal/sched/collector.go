@@ -6,6 +6,16 @@ import (
 	"spatialjoin/internal/geom"
 )
 
+// chunkPairs is the size of one buffer chunk. A unit's buffered pairs
+// live in a list of fixed-size chunks instead of one growing slice, so
+// buffering never re-copies what it already holds, and a flushed chunk
+// is recycled for the next unit that buffers.
+const chunkPairs = 2048
+
+// maxFreeChunks caps the recycled chunks kept for reuse, so one burst
+// of buffering does not stay resident for the rest of the run.
+const maxFreeChunks = 32
+
 // Collector restores deterministic emission order to a parallel run:
 // result pairs of unit 0 stream straight through, pairs of later units
 // are buffered until every earlier unit has finished, and then flush in
@@ -19,16 +29,18 @@ import (
 type Collector struct {
 	mu   sync.Mutex
 	sink func(geom.Pair)
-	buf  [][]geom.Pair // guarded by mu
-	done []bool        // guarded by mu
-	head int           // guarded by mu; first unit not yet finished; its pairs stream directly
+	buf  [][][]geom.Pair // guarded by mu; per unit, its chunks in emission order
+	free [][]geom.Pair   // guarded by mu; flushed chunks, emptied, for reuse
+	done []bool          // guarded by mu
+	head int             // guarded by mu; first unit not yet finished; its pairs stream directly
 }
 
 // NewCollector creates a collector over n units delivering to sink.
 func NewCollector(n int, sink func(geom.Pair)) *Collector {
 	return &Collector{
 		sink: sink,
-		buf:  make([][]geom.Pair, n),
+		buf:  make([][][]geom.Pair, n),
+		free: make([][]geom.Pair, 0, maxFreeChunks),
 		done: make([]bool, n),
 	}
 }
@@ -37,12 +49,30 @@ func NewCollector(n int, sink func(geom.Pair)) *Collector {
 // head, buffered otherwise. Safe for concurrent use.
 func (c *Collector) Emit(i int, p geom.Pair) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if i == c.head {
 		c.sink(p)
-	} else {
-		c.buf[i] = append(c.buf[i], p)
+		return
 	}
-	c.mu.Unlock()
+	chunks := c.buf[i]
+	last := len(chunks) - 1
+	if last < 0 || len(chunks[last]) == chunkPairs {
+		chunks = append(chunks, c.chunkLocked())
+		last++
+		c.buf[i] = chunks
+	}
+	chunks[last] = append(chunks[last], p)
+}
+
+// chunkLocked returns an empty chunk, recycled when one is free; c.mu
+// must be held.
+func (c *Collector) chunkLocked() []geom.Pair {
+	if n := len(c.free); n > 0 {
+		ch := c.free[n-1]
+		c.free = c.free[:n-1]
+		return ch
+	}
+	return make([]geom.Pair, 0, chunkPairs)
 }
 
 // Done marks unit i finished. When i is the emission head, the head
@@ -51,15 +81,21 @@ func (c *Collector) Emit(i int, p geom.Pair) {
 // must call Done exactly once, after its last Emit.
 func (c *Collector) Done(i int) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.done[i] = true
 	for c.head < len(c.done) && c.done[c.head] {
 		c.head++
-		if c.head < len(c.buf) {
-			for _, p := range c.buf[c.head] {
+		if c.head == len(c.buf) {
+			break
+		}
+		for _, ch := range c.buf[c.head] {
+			for _, p := range ch {
 				c.sink(p)
 			}
-			c.buf[c.head] = nil
+			if len(c.free) < maxFreeChunks {
+				c.free = append(c.free, ch[:0])
+			}
 		}
+		c.buf[c.head] = nil
 	}
-	c.mu.Unlock()
 }

@@ -9,7 +9,8 @@
 //     each unit, so a canceled join unwinds within one unit per worker.
 //   - Error propagation: the first error wins, later units are skipped,
 //     and Run returns after every worker has wound down — no goroutine
-//     outlives the call.
+//     outlives the call. A unit that panics fails with a PanicError
+//     instead of killing the process.
 //   - Memory accounting: worker slot 0 is covered by the join's own
 //     governor admission; each EXTRA slot claims Options.UnitMem from
 //     the governor via TryAcquire and simply does not start when the
@@ -31,6 +32,8 @@
 package sched
 
 import (
+	"fmt"
+	"runtime/debug"
 	"sync"
 
 	"spatialjoin/internal/govern"
@@ -64,6 +67,31 @@ type Options struct {
 	Metrics *metrics.Registry
 }
 
+// PanicError is a unit's panic, recovered by Run on the unit's own
+// goroutine and returned as the unit's error.
+type PanicError struct {
+	Pool  string // Options.Name of the pool
+	Unit  int    // index of the unit that panicked
+	Value any    // the value passed to panic
+	Stack []byte // the panicking goroutine's stack
+}
+
+// Error implements error; it carries the stack, since a panic is a bug
+// whose error may be the only trace it leaves.
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("sched: %s unit %d panicked: %v\n%s", e.Pool, e.Unit, e.Value, e.Stack)
+}
+
+// call runs one unit, converting a panic into a PanicError.
+func (o *Options) call(unit func(w, i int) error, w, i int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &PanicError{Pool: o.name(), Unit: i, Value: r, Stack: debug.Stack()}
+		}
+	}()
+	return unit(w, i)
+}
+
 func (o *Options) name() string {
 	if o.Name == "" {
 		return "worker"
@@ -76,8 +104,9 @@ func (o *Options) name() string {
 // runs its units sequentially on one goroutine, so callers may keep
 // per-slot state (a sweep algorithm, a scratch buffer) without locking.
 // Units are dispatched in index order; completion order is unspecified.
-// The first unit error (or cancellation) is returned, remaining units
-// are skipped, and Run does not return before all workers have exited.
+// The first unit error (or cancellation, or recovered panic) is
+// returned, remaining units are skipped, and Run does not return before
+// all workers have exited.
 func Run(n int, o Options, unit func(w, i int) error) error {
 	workers := o.Workers
 	if workers > n {
@@ -97,7 +126,7 @@ func Run(n int, o Options, unit func(w, i int) error) error {
 				return err
 			}
 			pm.unitStart()
-			err := unit(0, i)
+			err := o.call(unit, 0, i)
 			pm.unitEnd()
 			if err != nil {
 				return err
@@ -168,7 +197,7 @@ func Run(n int, o Options, unit func(w, i int) error) error {
 					return
 				}
 				pm.unitStart()
-				err := unit(w, i)
+				err := o.call(unit, w, i)
 				pm.unitEnd()
 				if err != nil {
 					setErr(err)

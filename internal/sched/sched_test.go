@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/govern"
@@ -229,21 +232,108 @@ func TestCollectorStreamsHead(t *testing.T) {
 }
 
 // TestCollectorConcurrent exercises the collector under the race
-// detector with many concurrent emitters.
+// detector with concurrent emitters: many small units on 8 workers, and
+// units of up to two chunks' worth of pairs on 4 workers, so buffers
+// cross chunk boundaries and recycle chunks while others emit.
 func TestCollectorConcurrent(t *testing.T) {
-	const n, per = 16, 50
+	for _, tc := range []struct {
+		n, workers int
+		per        func(i int) int
+	}{
+		{16, 8, func(int) int { return 50 }},
+		{64, 4, func(i int) int { return (i * 977) % (2*chunkPairs + 5) }},
+	} {
+		var got []geom.Pair
+		c := NewCollector(tc.n, func(p geom.Pair) { got = append(got, p) })
+		err := Run(tc.n, Options{Workers: tc.workers}, func(w, i int) error {
+			for k := 0; k < tc.per(i); k++ {
+				c.Emit(i, geom.Pair{R: uint64(i), S: uint64(k)})
+			}
+			c.Done(i)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := 0
+		for i := 0; i < tc.n; i++ {
+			for s := 0; s < tc.per(i); s++ {
+				if want := (geom.Pair{R: uint64(i), S: uint64(s)}); k >= len(got) || got[k] != want {
+					t.Fatalf("workers=%d: pair %d is not %+v (%d delivered)", tc.workers, k, want, len(got))
+				}
+				k++
+			}
+		}
+		if k != len(got) {
+			t.Fatalf("workers=%d: delivered %d pairs, want %d", tc.workers, len(got), k)
+		}
+	}
+}
+
+// TestRunRecoversPanics: a panicking unit fails the run with a
+// PanicError naming the pool and unit, on the serial and the pooled
+// path alike, and no worker goroutine outlives Run.
+func TestRunRecoversPanics(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			var ran atomic.Int32
+			err := Run(16, Options{Workers: workers, Name: "boom-pool"}, func(w, i int) error {
+				ran.Add(1)
+				if i == 5 {
+					panic(fmt.Sprintf("unit %d exploded", i))
+				}
+				return nil
+			})
+			var pe *PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("Run = %v, want a *PanicError", err)
+			}
+			if pe.Pool != "boom-pool" || pe.Unit != 5 || pe.Value != "unit 5 exploded" {
+				t.Fatalf("PanicError = {%q, %d, %v}, want {boom-pool, 5, unit 5 exploded}", pe.Pool, pe.Unit, pe.Value)
+			}
+			if msg := err.Error(); !strings.Contains(msg, "boom-pool unit 5 panicked") || !strings.Contains(msg, "TestRunRecoversPanics") {
+				t.Fatalf("error text lacks pool, unit or stack:\n%s", msg)
+			}
+			if workers == 1 && ran.Load() != 6 {
+				t.Fatalf("serial run went on after the panic: %d units ran", ran.Load())
+			}
+			// Workers have exited when Run returns; give the runtime a
+			// moment to retire their goroutine records.
+			for try := 0; runtime.NumGoroutine() > before && try < 100; try++ {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Fatalf("%d goroutines after Run, %d before", n, before)
+			}
+		})
+	}
+}
+
+// TestCollectorOrderAcrossChunks: a buffered unit spanning several
+// chunks flushes in emission order, and recycled chunks carry no stale
+// pairs into the next unit that buffers.
+func TestCollectorOrderAcrossChunks(t *testing.T) {
+	const n, per = 4, 3*chunkPairs + 17
 	var got []geom.Pair
 	c := NewCollector(n, func(p geom.Pair) { got = append(got, p) })
-	err := Run(n, Options{Workers: 8}, func(w, i int) error {
+	// Unit 0 is the head and streams; units 1..3 buffer. Finishing 1
+	// before 0 makes its chunks free for unit 3's later emits.
+	for _, i := range []int{1, 2} {
 		for k := 0; k < per; k++ {
 			c.Emit(i, geom.Pair{R: uint64(i), S: uint64(k)})
 		}
-		c.Done(i)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
+	for k := 0; k < per; k++ {
+		c.Emit(0, geom.Pair{R: 0, S: uint64(k)})
+	}
+	c.Done(1)
+	c.Done(0) // flushes 1, lands on 2 and flushes it; 2 now streams
+	for k := 0; k < per; k++ {
+		c.Emit(3, geom.Pair{R: 3, S: uint64(k)})
+	}
+	c.Done(2)
+	c.Done(3)
 	if len(got) != n*per {
 		t.Fatalf("delivered %d pairs, want %d", len(got), n*per)
 	}
@@ -252,4 +342,39 @@ func TestCollectorConcurrent(t *testing.T) {
 			t.Fatalf("pair %d = %+v, want %+v", i, p, want)
 		}
 	}
+}
+
+// TestCollectorBufferAllocs: buffering N pairs allocates about one chunk
+// per chunkPairs pairs plus a constant, never a re-copy of the buffer.
+func TestCollectorBufferAllocs(t *testing.T) {
+	const pairs = 64 * chunkPairs
+	allocs := testing.AllocsPerRun(5, func() {
+		c := NewCollector(2, func(geom.Pair) {})
+		for k := 0; k < pairs; k++ {
+			c.Emit(1, geom.Pair{R: 1, S: uint64(k)})
+		}
+		c.Done(0)
+		c.Done(1)
+	})
+	// 64 chunks, ~7 doublings of the chunk list, the collector itself.
+	if limit := float64(pairs/chunkPairs + 16); allocs > limit {
+		t.Fatalf("%.0f allocations to buffer %d pairs, want ≤ %.0f", allocs, pairs, limit)
+	}
+}
+
+// BenchmarkCollectorBuffered: units finishing in reverse order, so all
+// but the head buffer a chunk's worth of pairs and flush at the end.
+func BenchmarkCollectorBuffered(b *testing.B) {
+	const units, per = 8, chunkPairs
+	b.ReportAllocs()
+	for n := 0; n < b.N; n++ {
+		c := NewCollector(units, func(geom.Pair) {})
+		for i := units - 1; i >= 0; i-- {
+			for k := 0; k < per; k++ {
+				c.Emit(i, geom.Pair{R: uint64(i), S: uint64(k)})
+			}
+			c.Done(i)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*units*per), "ns/pair")
 }

@@ -15,6 +15,7 @@ import "spatialjoin/internal/geom"
 // many small partitions — and why the algorithm degrades when a larger
 // memory budget produces fewer, larger partitions (Figure 5).
 type ListSweep struct {
+	xlOrder
 	tests   int64
 	touches int64
 }
@@ -37,10 +38,22 @@ func (a *ListSweep) ResetTests() { a.tests, a.touches = 0, 0 }
 func (a *ListSweep) Join(rs, ss []geom.KPE, emit Emit) {
 	sortByXL(rs)
 	sortByXL(ss)
+	a.JoinSlab(rs, ss, Whole(rs, ss), emit)
+}
+
+// JoinSlab implements Algorithm: the active lists start with the
+// slab's carry-ins, in the order the serial sweep inserted them.
+func (a *ListSweep) JoinSlab(rs, ss []geom.KPE, sl Slab, emit Emit) {
+	x0, ok := sl.firstXL(rs, ss)
+	if !ok {
+		return
+	}
 	var activeR, activeS []geom.KPE
-	i, j := 0, 0
-	for i < len(rs) || j < len(ss) {
-		fromR := j >= len(ss) || (i < len(rs) && rs[i].Rect.XL <= ss[j].Rect.XL)
+	carryIn(rs[:sl.RLo], x0, func(k geom.KPE) { activeR = append(activeR, k) })
+	carryIn(ss[:sl.SLo], x0, func(k geom.KPE) { activeS = append(activeS, k) })
+	i, j := sl.RLo, sl.SLo
+	for i < sl.RHi || j < sl.SHi {
+		fromR := j >= sl.SHi || (i < sl.RHi && rs[i].Rect.XL <= ss[j].Rect.XL)
 		if fromR {
 			r := rs[i]
 			i++

@@ -23,10 +23,26 @@ type Emit func(r, s geom.KPE)
 // Algorithm is an in-memory spatial intersection join. Join may reorder
 // the input slices (the plane sweeps sort by the rectangles' left edges)
 // but never adds or removes elements.
+//
+// A join can also run in slabs (slab.go): Sort both inputs, Cut them,
+// and JoinSlab every slab. Run in slab order, the slabs emit exactly
+// Join's pair sequence and perform exactly Join's Tests, so independent
+// slabs may run on different goroutines with one Algorithm each.
 type Algorithm interface {
 	Name() string
-	// Join reports every intersecting pair between rs and ss.
+	// Join reports every intersecting pair between rs and ss: Sort on
+	// both inputs, then JoinSlab over their Whole slab.
 	Join(rs, ss []geom.KPE, emit Emit)
+	// Sort puts one input into the order Cut and JoinSlab expect: XL
+	// order for the plane sweeps, unchanged for nested loops. It keeps
+	// no state and is safe for concurrent use.
+	Sort(ks []geom.KPE)
+	// Cut splits sorted inputs into at most k slabs, in emission order.
+	Cut(rs, ss []geom.KPE, k int) []Slab
+	// JoinSlab reports the pairs the serial join emits at the events of
+	// sl, a slab of this algorithm's Cut (or Whole) over the same sorted
+	// rs and ss, which it reads but does not reorder.
+	JoinSlab(rs, ss []geom.KPE, sl Slab, emit Emit)
 	// Tests returns the cumulative number of candidate tests performed
 	// across all Join calls, a machine-independent CPU proxy.
 	Tests() int64
@@ -87,6 +103,31 @@ func (a *NestedLoops) ResetTests() { a.tests = 0 }
 
 // Join implements Algorithm.
 func (a *NestedLoops) Join(rs, ss []geom.KPE, emit Emit) {
+	a.join(rs, ss, emit)
+}
+
+// Sort implements Algorithm: nested loops needs no order.
+func (a *NestedLoops) Sort([]geom.KPE) {}
+
+// Cut implements Algorithm: nested loops emits R-major, so a slab is a
+// range of R against all of S.
+func (a *NestedLoops) Cut(rs, ss []geom.KPE, k int) []Slab {
+	k = max(1, min(k, len(rs)))
+	slabs := make([]Slab, k)
+	for t := range slabs {
+		slabs[t] = Slab{RLo: t * len(rs) / k, RHi: (t + 1) * len(rs) / k, SHi: len(ss)}
+	}
+	return slabs
+}
+
+// JoinSlab implements Algorithm.
+func (a *NestedLoops) JoinSlab(rs, ss []geom.KPE, sl Slab, emit Emit) {
+	a.join(rs[sl.RLo:sl.RHi], ss[sl.SLo:sl.SHi], emit)
+}
+
+// join tests every pair of rs × ss, R-major. S³J calls Join once per
+// cell pair, so Join calls it directly rather than through a Slab.
+func (a *NestedLoops) join(rs, ss []geom.KPE, emit Emit) {
 	for i := range rs {
 		r := rs[i].Rect
 		for j := range ss {

@@ -13,6 +13,7 @@ import "spatialjoin/internal/geom"
 // trie needs no rebalancing: expired entries are removed lazily while
 // node item lists are scanned.
 type TrieSweep struct {
+	xlOrder
 	tests   int64
 	touches int64
 	// Depth is the maximum trie depth (bits of the normalized y-keys).
@@ -46,7 +47,22 @@ func (a *TrieSweep) Join(rs, ss []geom.KPE, emit Emit) {
 	}
 	sortByXL(rs)
 	sortByXL(ss)
+	a.JoinSlab(rs, ss, Whole(rs, ss), emit)
+}
 
+// JoinSlab implements Algorithm: the tries start with the slab's
+// carry-ins, inserted in the order the serial sweep inserted them and
+// keyed by the whole input's y-extent, so every carry-in lands on the
+// node — and at the position within it — the serial sweep would hold
+// it at.
+func (a *TrieSweep) JoinSlab(rs, ss []geom.KPE, sl Slab, emit Emit) {
+	if len(rs) == 0 || len(ss) == 0 {
+		return
+	}
+	x0, ok := sl.firstXL(rs, ss)
+	if !ok {
+		return
+	}
 	depth := a.Depth
 	if depth <= 0 {
 		depth = DefaultTrieDepth
@@ -65,9 +81,11 @@ func (a *TrieSweep) Join(rs, ss []geom.KPE, emit Emit) {
 
 	trieR := newTrieStatus(ymin, ymax, depth, &a.tests, &a.touches)
 	trieS := newTrieStatus(ymin, ymax, depth, &a.tests, &a.touches)
-	i, j := 0, 0
-	for i < len(rs) || j < len(ss) {
-		if j >= len(ss) || (i < len(rs) && rs[i].Rect.XL <= ss[j].Rect.XL) {
+	carryIn(rs[:sl.RLo], x0, trieR.Insert)
+	carryIn(ss[:sl.SLo], x0, trieS.Insert)
+	i, j := sl.RLo, sl.SLo
+	for i < sl.RHi || j < sl.SHi {
+		if j >= sl.SHi || (i < sl.RHi && rs[i].Rect.XL <= ss[j].Rect.XL) {
 			r := rs[i]
 			i++
 			trieS.Probe(r, func(s geom.KPE) { emit(r, s) })

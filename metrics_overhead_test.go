@@ -78,11 +78,12 @@ func TestMetricsDisabledOverheadBudget(t *testing.T) {
 	// Site bound: each disk request passes one gate load (2× for slack),
 	// each retry one more, each top-level partition pair a handful of
 	// nil-handle calls (pairDone, progress, scheduler bookkeeping; 8 is
-	// generous), each raw join-phase result one live dup counter
-	// (pbsm.rpm.tests or pbsm.tlsp.pairs.skipped are incremented from
-	// the join loop; 2× for slack), plus a constant for the per-join
-	// sites (join counters, progress init, publishMetrics,
-	// governor/shard probes).
+	// generous), each raw join-phase result at most one live dup
+	// counter call (pbsm.rpm.tests or pbsm.tlsp.pairs.skipped are added
+	// from the join loop in batches of up to 1024 results plus one
+	// call per join call, so counting one per result, 2× for slack, is
+	// a wide over-count), plus a constant for the per-join sites (join
+	// counters, progress init, publishMetrics, governor/shard probes).
 	sites := 2*(res.IO.ReadRequests+res.IO.WriteRequests) +
 		res.IO.Retries +
 		8*int64(res.PBSMStats.P) +
