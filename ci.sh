@@ -69,6 +69,18 @@ echo "== storage-path benchmarks, one iteration each =="
 # and working.
 go test -run '^$' -bench . -benchtime 1x ./internal/diskio ./internal/extsort ./internal/s3j ./internal/sweep ./internal/sched
 
+echo "== sjoin rejects an unknown -alg =="
+# A mistyped internal algorithm must fail at flag time and name the
+# valid kinds, never silently run the list sweep.
+if out=$(go run ./cmd/sjoin -n 200 -alg bogus 2>&1); then
+    echo "sjoin -alg bogus exited 0:" "$out" >&2
+    exit 1
+fi
+if ! echo "$out" | grep -q "valid: list, trie, nested"; then
+    echo "sjoin -alg bogus did not name the valid kinds:" "$out" >&2
+    exit 1
+fi
+
 if [ "$short" = "-short" ]; then
     echo "== go test -short ./... =="
     go test -short -timeout 10m ./...

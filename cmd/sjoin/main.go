@@ -164,6 +164,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sjoin: %v\n", err)
 		os.Exit(1)
 	}
+	algKind, err := sweep.ParseKind(*alg)
+	if err != nil {
+		fail(fmt.Errorf("-alg: %w", err))
+	}
 
 	// Resident worker mode: bind, announce the bound address on stdout
 	// (coordinators and scripts scan for the "listening " line), and
@@ -222,7 +226,7 @@ func main() {
 	cfg := core.Config{
 		Method:       core.Method(*method),
 		Memory:       int64(*memMB * (1 << 20) * geom.KPESize / 20), // paper MB -> bytes of KPESize-byte KPEs
-		Algorithm:    sweep.Kind(*alg),
+		Algorithm:    algKind,
 		PBSMParallel: *parallel,
 		Shards:       *shards,
 		Deadline:     *timeout,

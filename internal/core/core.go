@@ -258,6 +258,9 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 	if cfg.Memory <= 0 {
 		return Result{}, joinerr.Wrap("core", "config", fmt.Errorf("Config.Memory must be positive, got %d", cfg.Memory))
 	}
+	if _, err := sweep.ParseKind(string(cfg.Algorithm)); err != nil {
+		return Result{}, err
+	}
 
 	// Derive the cancellation context first: the caller's Ctx, a
 	// Deadline, or both (the deadline nests inside the caller's

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/joinerr"
 	"spatialjoin/internal/pbsm"
 	"spatialjoin/internal/s3j"
 	"spatialjoin/internal/sweep"
@@ -153,6 +157,31 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Join(nil, nil, Config{Memory: 1 << 20, Method: "bogus"}, func(geom.Pair) {}); err == nil {
 		t.Fatal("want error for unknown method")
 	}
+}
+
+func TestUnknownAlgorithmRejected(t *testing.T) {
+	R := datagen.Uniform(1, 50, 0.05)
+	check := func(name string, err error) {
+		t.Helper()
+		var je *joinerr.JoinError
+		if !errors.As(err, &je) || je.Phase != "config" || !strings.Contains(err.Error(), "valid: list, trie, nested") {
+			t.Fatalf("%s: got %v, want a config JoinError naming the valid kinds", name, err)
+		}
+	}
+	for _, m := range []Method{PBSM, S3J, SSSJ, SHJ} {
+		var delivered atomic.Int64
+		_, err := Join(R, R, Config{Method: m, Memory: 1 << 20, Algorithm: "bogus"}, func(geom.Pair) { delivered.Add(1) })
+		check(string(m), err)
+		if n := delivered.Load(); n != 0 {
+			t.Fatalf("%s: a join with an unknown algorithm delivered %d pairs", m, n)
+		}
+	}
+	it := Open(R, R, Config{Memory: 1 << 20, Algorithm: "bogus"})
+	defer it.Close()
+	if _, ok := it.Next(); ok {
+		t.Fatal("Open: a join with an unknown algorithm delivered a pair")
+	}
+	check("Open", it.Err())
 }
 
 func TestIteratorDeliversAllResults(t *testing.T) {

@@ -18,6 +18,17 @@ type ListSweep struct {
 	xlOrder
 	tests   int64
 	touches int64
+	// activeR and activeS keep the active lists' storage across JoinSlab
+	// calls; an instance serves one goroutine at a time.
+	activeR, activeS []listEntry
+}
+
+// listEntry is one active-list record: the three coordinates the probe
+// loop reads and the index of the rectangle's KPE in its sorted input,
+// 32 bytes where a KPE copy is 48.
+type listEntry struct {
+	xh, yl, yh float64
+	at         int
 }
 
 // Name implements Algorithm.
@@ -48,49 +59,65 @@ func (a *ListSweep) JoinSlab(rs, ss []geom.KPE, sl Slab, emit Emit) {
 	if !ok {
 		return
 	}
-	var activeR, activeS []geom.KPE
-	carryIn(rs[:sl.RLo], x0, func(k geom.KPE) { activeR = append(activeR, k) })
-	carryIn(ss[:sl.SLo], x0, func(k geom.KPE) { activeS = append(activeS, k) })
+	activeR, activeS := a.activeR[:0], a.activeS[:0]
+	carryIn(rs[:sl.RLo], x0, func(i int) { activeR = append(activeR, newListEntry(rs, i)) })
+	carryIn(ss[:sl.SLo], x0, func(i int) { activeS = append(activeS, newListEntry(ss, i)) })
 	i, j := sl.RLo, sl.SLo
 	for i < sl.RHi || j < sl.SHi {
 		fromR := j >= sl.SHi || (i < sl.RHi && rs[i].Rect.XL <= ss[j].Rect.XL)
 		if fromR {
-			r := rs[i]
+			activeS = a.expireAndProbe(activeS, &rs[i], ss, emit, false)
+			activeR = append(activeR, newListEntry(rs, i))
 			i++
-			activeS = a.expireAndProbe(activeS, r, emit, false)
-			activeR = append(activeR, r)
 		} else {
-			s := ss[j]
+			activeR = a.expireAndProbe(activeR, &ss[j], rs, emit, true)
+			activeS = append(activeS, newListEntry(ss, j))
 			j++
-			activeR = a.expireAndProbe(activeR, s, emit, true)
-			activeS = append(activeS, s)
 		}
 	}
+	a.activeR, a.activeS = activeR[:0], activeS[:0]
+}
+
+func newListEntry(ks []geom.KPE, at int) listEntry {
+	r := &ks[at].Rect
+	return listEntry{xh: r.XH, yl: r.YL, yh: r.YH, at: at}
 }
 
 // expireAndProbe removes from active every rectangle whose right edge
-// lies strictly left of probe's left edge (it can no longer intersect
-// anything arriving later), tests the survivors against probe for
-// y-overlap, and returns the compacted list. probeIsS tells which side
-// probe belongs to so the emit arguments keep (R, S) order.
-func (a *ListSweep) expireAndProbe(active []geom.KPE, probe geom.KPE, emit Emit, probeIsS bool) []geom.KPE {
-	a.touches += int64(len(active))
-	x := probe.Rect.XL
+// lies strictly left of the probe's left edge (it can no longer
+// intersect anything arriving later), tests the survivors against the
+// probe for y-overlap, and returns the compacted list. active indexes
+// into others; probeIsS tells which side the probe belongs to so the
+// emit arguments keep (R, S) order.
+func (a *ListSweep) expireAndProbe(active []listEntry, probe *geom.KPE, others []geom.KPE, emit Emit, probeIsS bool) []listEntry {
+	x, yl, yh := probe.Rect.XL, probe.Rect.YL, probe.Rect.YH
 	w := 0
-	for i := range active {
-		if active[i].Rect.XH < x {
+	for _, e := range active {
+		if e.xh < x {
 			continue // expired: drop by not copying forward
 		}
-		active[w] = active[i]
+		active[w] = e
 		w++
-		a.tests++
-		if active[i].Rect.IntersectsY(probe.Rect) {
+		if overlapsY(e.yl, e.yh, yl, yh) {
 			if probeIsS {
-				emit(active[i], probe)
+				emit(others[e.at], *probe)
 			} else {
-				emit(probe, active[i])
+				emit(*probe, others[e.at])
 			}
 		}
 	}
+	a.touches += int64(len(active))
+	a.tests += int64(w)
 	return active[:w]
+}
+
+// overlapsY reports whether the y-ranges [al, ah] and [bl, bh] overlap:
+// geom.Rect.IntersectsY without its short-circuit, whose first
+// comparison is a coin flip the branch predictor loses on about every
+// other entry. The compiler lowers max and min to branch-free MINSD
+// sequences, so the only branch left in a status loop is the rarely
+// taken hit. For non-inverted ranges the two tests agree on every
+// input, NaN and signed zeros included.
+func overlapsY(al, ah, bl, bh float64) bool {
+	return max(al, bl) <= min(ah, bh)
 }

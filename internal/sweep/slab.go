@@ -77,13 +77,14 @@ func (sl Slab) firstXL(rs, ss []geom.KPE) (x float64, ok bool) {
 	return 0, false
 }
 
-// carryIn calls add, in sweep order, for every rectangle of before whose
-// right edge reaches x: the entries of the serial status that are still
-// live when the sweep arrives at a slab whose first left edge is x.
-func carryIn(before []geom.KPE, x float64, add func(geom.KPE)) {
+// carryIn calls add, in sweep order, with the index of every rectangle
+// of before whose right edge reaches x: the entries of the serial status
+// that are still live when the sweep arrives at a slab whose first left
+// edge is x.
+func carryIn(before []geom.KPE, x float64, add func(i int)) {
 	for i := range before {
 		if before[i].Rect.XH >= x {
-			add(before[i])
+			add(i)
 		}
 	}
 }

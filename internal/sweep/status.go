@@ -56,21 +56,23 @@ func (l *listStatus) Len() int { return len(l.items) }
 
 // Probe implements Status.
 func (l *listStatus) Probe(probe geom.KPE, report func(geom.KPE)) {
-	*l.touches += int64(len(l.items))
-	x := probe.Rect.XL
+	x, yl, yh := probe.Rect.XL, probe.Rect.YL, probe.Rect.YH
+	items := l.items
 	w := 0
-	for i := range l.items {
-		if l.items[i].Rect.XH < x {
+	for i := range items {
+		r := &items[i].Rect
+		if r.XH < x {
 			continue // expired
 		}
-		l.items[w] = l.items[i]
+		items[w] = items[i]
 		w++
-		*l.tests++
-		if l.items[i].Rect.IntersectsY(probe.Rect) {
-			report(l.items[i])
+		if overlapsY(r.YL, r.YH, yl, yh) {
+			report(items[w-1])
 		}
 	}
-	l.items = l.items[:w]
+	*l.touches += int64(len(items))
+	*l.tests += int64(w)
+	l.items = items[:w]
 }
 
 // trieStatus adapts intervalTrie to the Status interface.

@@ -12,9 +12,11 @@
 package sweep
 
 import (
+	"fmt"
 	"sort"
 
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/joinerr"
 )
 
 // Emit receives one intersecting result pair.
@@ -69,8 +71,21 @@ const (
 	TrieKind Kind = "trie"
 )
 
-// New returns a fresh Algorithm of the given kind. Unknown kinds yield
-// the list sweep, the original PBSM default.
+// ParseKind maps a configuration value to a Kind. The empty string is
+// returned as is: it selects the join method's default. Unknown strings
+// are an error naming the valid kinds — a typo must never silently run
+// a different algorithm.
+func ParseKind(s string) (Kind, error) {
+	switch k := Kind(s); k {
+	case "", ListKind, TrieKind, NestedLoopsKind:
+		return k, nil
+	}
+	return "", joinerr.Wrap("sweep", "config", fmt.Errorf("unknown algorithm %q (valid: list, trie, nested)", s))
+}
+
+// New returns a fresh Algorithm of the given kind. The empty kind
+// yields the list sweep, the original PBSM default; callers validate
+// configured kinds with ParseKind.
 func New(k Kind) Algorithm {
 	switch k {
 	case NestedLoopsKind:

@@ -13,28 +13,43 @@ import (
 // appear when memory grows — the regime where the paper's trie sweep
 // overtakes the classic list (§3.2.2, Figures 4 and 5).
 
-func benchJoin(b *testing.B, alg Algorithm, n int) {
-	rs := datagen.Uniform(1, n, 0.01)
-	ss := datagen.Uniform(2, n, 0.01)
-	rc := make([]geom.KPE, n)
-	sc := make([]geom.KPE, n)
+// benchJoin reports, besides time and allocations per join, the
+// candidate tests per join and the join's time per test — the cost of
+// one status-entry comparison, sort and copy included.
+func benchJoin(b *testing.B, alg Algorithm, rs, ss []geom.KPE) {
+	rc := make([]geom.KPE, len(rs))
+	sc := make([]geom.KPE, len(ss))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(rc, rs)
 		copy(sc, ss)
 		alg.Join(rc, sc, func(geom.KPE, geom.KPE) {})
 	}
-	b.ReportMetric(float64(alg.Tests())/float64(b.N), "tests/op")
+	tests := float64(alg.Tests())
+	b.ReportMetric(tests/float64(b.N), "tests/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/tests, "ns/test")
 }
 
 func BenchmarkAlgorithms(b *testing.B) {
+	type input struct {
+		name   string
+		rs, ss []geom.KPE
+	}
+	var inputs []input
 	for _, n := range []int{100, 1000, 10000} {
+		inputs = append(inputs, input{fmt.Sprintf("n=%d", n), datagen.Uniform(1, n, 0.01), datagen.Uniform(2, n, 0.01)})
+	}
+	// Clustered: one dense blob, the skew that keeps PBSM partitions
+	// large and lists long.
+	inputs = append(inputs, input{"gauss/n=10000", datagen.Gaussian(1, 10000, 0.005), datagen.Gaussian(2, 10000, 0.005)})
+	for _, in := range inputs {
 		for _, kind := range []Kind{NestedLoopsKind, ListKind, TrieKind} {
-			if kind == NestedLoopsKind && n > 1000 {
+			if kind == NestedLoopsKind && len(in.rs) > 1000 {
 				continue // quadratic; no insight past this size
 			}
-			b.Run(fmt.Sprintf("%s/n=%d", kind, n), func(b *testing.B) {
-				benchJoin(b, New(kind), n)
+			b.Run(fmt.Sprintf("%s/%s", kind, in.name), func(b *testing.B) {
+				benchJoin(b, New(kind), in.rs, in.ss)
 			})
 		}
 	}

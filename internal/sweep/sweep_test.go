@@ -1,13 +1,16 @@
 package sweep
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/joinerr"
 )
 
 // naive computes the ground truth as sorted (R.ID, S.ID) pairs.
@@ -239,6 +242,24 @@ func TestJoinMayReorderButNotMutateContents(t *testing.T) {
 	for _, c := range count {
 		if c != 0 {
 			t.Fatal("Join changed slice contents, not just order")
+		}
+	}
+}
+
+func TestParseKind(t *testing.T) {
+	for _, k := range []Kind{"", ListKind, TrieKind, NestedLoopsKind} {
+		if got, err := ParseKind(string(k)); err != nil || got != k {
+			t.Fatalf("ParseKind(%q) = %q, %v; want %q", k, got, err, k)
+		}
+	}
+	for _, s := range []string{"bogus", "List", "tri", " list", "nested-loops"} {
+		_, err := ParseKind(s)
+		var je *joinerr.JoinError
+		if !errors.As(err, &je) || je.Phase != "config" {
+			t.Fatalf("ParseKind(%q) = %v, want a config JoinError", s, err)
+		}
+		if !strings.Contains(err.Error(), "valid: list, trie, nested") {
+			t.Fatalf("ParseKind(%q) error must list the valid kinds, got %q", s, err)
 		}
 	}
 }

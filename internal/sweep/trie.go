@@ -81,8 +81,8 @@ func (a *TrieSweep) JoinSlab(rs, ss []geom.KPE, sl Slab, emit Emit) {
 
 	trieR := newTrieStatus(ymin, ymax, depth, &a.tests, &a.touches)
 	trieS := newTrieStatus(ymin, ymax, depth, &a.tests, &a.touches)
-	carryIn(rs[:sl.RLo], x0, trieR.Insert)
-	carryIn(ss[:sl.SLo], x0, trieS.Insert)
+	carryIn(rs[:sl.RLo], x0, func(i int) { trieR.Insert(rs[i]) })
+	carryIn(ss[:sl.SLo], x0, func(i int) { trieS.Insert(ss[i]) })
 	i, j := sl.RLo, sl.SLo
 	for i < sl.RHi || j < sl.SHi {
 		if j >= sl.SHi || (i < sl.RHi && rs[i].Rect.XL <= ss[j].Rect.XL) {
@@ -150,20 +150,21 @@ func (t *intervalTrie) probe(probe geom.KPE, report func(geom.KPE)) int {
 // the number of expired entries removed.
 func (t *intervalTrie) walk(n *trieNode, depthLeft int, base, qlo, qhi uint32, probe geom.KPE, report func(geom.KPE)) int {
 	*t.touches++
-	x := probe.Rect.XL
+	x, yl, yh := probe.Rect.XL, probe.Rect.YL, probe.Rect.YH
 	items := n.items
 	w := 0
 	for i := range items {
-		if items[i].Rect.XH < x {
+		r := &items[i].Rect
+		if r.XH < x {
 			continue // expired under the sweep line: lazy removal
 		}
 		items[w] = items[i]
 		w++
-		*t.tests++
-		if items[i].Rect.IntersectsY(probe.Rect) {
-			report(items[i])
+		if overlapsY(r.YL, r.YH, yl, yh) {
+			report(items[w-1])
 		}
 	}
+	*t.tests += int64(w)
 	removed := len(items) - w
 	n.items = items[:w]
 

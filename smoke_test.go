@@ -61,6 +61,13 @@ func TestCommandsRun(t *testing.T) {
 			t.Fatalf("unexpected sjoin output:\n%s", out)
 		}
 	})
+	t.Run("sjoin-unknown-alg", func(t *testing.T) {
+		t.Parallel()
+		out, err := exec.Command("go", "run", "./cmd/sjoin", "-n", "200", "-alg", "bogus").CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "valid: list, trie, nested") {
+			t.Fatalf("sjoin -alg bogus: err %v, want a failure naming the valid kinds:\n%s", err, out)
+		}
+	})
 	t.Run("sjdatagen", func(t *testing.T) {
 		t.Parallel()
 		out := runBinary(t, "./cmd/sjdatagen", "-d", "la_rr", "-n", "3000")
